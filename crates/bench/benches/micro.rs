@@ -1,11 +1,12 @@
 //! Criterion micro-benchmarks of the hot control-plane paths: the solver
-//! (the §5.7 <100 ms claim in bench form), ODA, PASM sampling, embeddings,
-//! vector search, classifier inference and raw event throughput.
+//! (the §5.7 <100 ms claim in bench form), ODA, PASM sampling, the per-job
+//! text path (embedding, classifier features, level pick), vector search,
+//! oracle scoring and raw event throughput.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 
-use argus_classifier::{label_prompts, train, TrainerConfig};
+use argus_classifier::{label_prompts, train, FeatureExtractor, TrainerConfig};
 use argus_core::{oda, AllocationProblem};
 use argus_des::{EventQueue, SimTime};
 use argus_embed::embed;
@@ -49,11 +50,24 @@ fn bench_oda(c: &mut Criterion) {
     });
 }
 
-fn bench_embedding_and_vdb(c: &mut Criterion) {
-    let prompts = PromptGenerator::new(1).generate_batch(768);
-    c.bench_function("embed_prompt", |b| {
-        b.iter(|| black_box(embed(&prompts[0].text)))
+/// The per-job text path: the embedding, the classifier's features and
+/// the level pick built on them, each over the same prompt.
+fn bench_text_path(c: &mut Criterion) {
+    let ladder = ApproxLevel::ladder(Strategy::Ac);
+    let pool = PromptGenerator::new(1).generate_batch(2000);
+    let samples = label_prompts(&QualityOracle::new(1), &pool, &ladder);
+    let (clf, _) = train(&samples, ladder.len(), &TrainerConfig::default());
+    let text = &pool[7].text;
+    c.bench_function("embed_prompt", |b| b.iter(|| black_box(embed(text))));
+    let fx = FeatureExtractor::default();
+    c.bench_function("features", |b| b.iter(|| black_box(fx.features(text))));
+    c.bench_function("classifier_predict", |b| {
+        b.iter(|| black_box(clf.predict(text)))
     });
+}
+
+fn bench_vdb(c: &mut Criterion) {
+    let prompts = PromptGenerator::new(1).generate_batch(768);
     let mut index = FlatIndex::with_capacity_limit(768);
     for (i, p) in prompts.iter().enumerate() {
         index.insert(embed(&p.text), i as u64);
@@ -64,15 +78,10 @@ fn bench_embedding_and_vdb(c: &mut Criterion) {
     });
 }
 
-fn bench_classifier(c: &mut Criterion) {
+fn bench_oracle(c: &mut Criterion) {
     let ladder = ApproxLevel::ladder(Strategy::Ac);
     let oracle = QualityOracle::new(1);
-    let pool = PromptGenerator::new(1).generate_batch(2000);
-    let samples = label_prompts(&oracle, &pool, &ladder);
-    let (clf, _) = train(&samples, ladder.len(), &TrainerConfig::default());
-    c.bench_function("classifier_predict", |b| {
-        b.iter(|| black_box(clf.predict(&pool[7].text)))
-    });
+    let pool = PromptGenerator::new(1).generate_batch(8);
     c.bench_function("oracle_score_ladder", |b| {
         b.iter(|| black_box(oracle.scores(&pool[7], &ladder)))
     });
@@ -99,8 +108,9 @@ criterion_group!(
     benches,
     bench_solver,
     bench_oda,
-    bench_embedding_and_vdb,
-    bench_classifier,
+    bench_text_path,
+    bench_vdb,
+    bench_oracle,
     bench_event_queue
 );
 criterion_main!(benches);

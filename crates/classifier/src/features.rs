@@ -1,6 +1,6 @@
 //! Hashed text features for the approximation-level predictor.
 
-use argus_prompts::tokenize;
+use argus_prompts::{fnv1a, fnv1a_continue, tokens};
 
 /// Default feature dimensionality (hash buckets).
 pub const DEFAULT_DIM: usize = 2048;
@@ -19,15 +19,6 @@ impl Default for FeatureExtractor {
     fn default() -> Self {
         FeatureExtractor { dim: DEFAULT_DIM }
     }
-}
-
-fn fnv(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
 }
 
 /// Words signalling multi-object composition (raise complexity).
@@ -52,30 +43,38 @@ impl FeatureExtractor {
 
     /// Extracts sparse `(index, value)` features from prompt text.
     /// Indices may repeat (hash collisions accumulate downstream).
+    ///
+    /// Order: one unigram per token, then one bigram per adjacent pair,
+    /// then the structural features. A bigram hashes as the string
+    /// `"{left} {right}"` would, by continuing the left token's hash over
+    /// `" "` and the right token, so no bigram string is built.
     pub fn features(&self, text: &str) -> Vec<(usize, f32)> {
-        let tokens = tokenize(text);
-        let mut out = Vec::with_capacity(tokens.len() * 2 + 3);
         // The last 8 buckets are reserved for structural features.
         let hash_span = self.dim - 8;
-        for t in &tokens {
-            out.push(((fnv(t.as_bytes()) as usize) % hash_span, 1.0));
+        let bucket = |h: u64| (h as usize) % hash_span;
+        let mut out = Vec::with_capacity(32);
+        let mut bigrams = Vec::with_capacity(16);
+        let mut prev: Option<u64> = None;
+        let (mut relations, mut ofs) = (0usize, 0usize);
+        for t in tokens(text) {
+            let h = fnv1a(t.as_bytes());
+            out.push((bucket(h), 1.0));
+            if let Some(left) = prev {
+                let pair = fnv1a_continue(fnv1a_continue(left, b" "), t.as_bytes());
+                bigrams.push((bucket(pair), 0.5));
+            }
+            prev = Some(h);
+            relations += usize::from(RELATION_WORDS.contains(&t.as_ref()));
+            ofs += usize::from(t == "of");
         }
-        for w in tokens.windows(2) {
-            let bigram = format!("{} {}", w[0], w[1]);
-            out.push(((fnv(bigram.as_bytes()) as usize) % hash_span, 0.5));
-        }
+        let n = out.len();
+        out.append(&mut bigrams);
         // Token-count bucket (length proxies modifier/subject density).
-        let len_bucket = (tokens.len() / 4).min(3);
-        out.push((hash_span + len_bucket, 1.0));
+        out.push((hash_span + (n / 4).min(3), 1.0));
         // Relation-word count (multi-object prompts).
-        let relations = tokens
-            .iter()
-            .filter(|t| RELATION_WORDS.contains(&t.as_str()))
-            .count();
         out.push((hash_span + 4, relations as f32));
-        // Comma count (modifier density survives tokenization via length,
-        // but "of" count proxies compositional phrases).
-        let ofs = tokens.iter().filter(|t| t.as_str() == "of").count();
+        // "of" count (proxies compositional phrases: "photo of", "a loaf
+        // of bread").
         out.push((hash_span + 5, ofs as f32));
         // Bias feature.
         out.push((hash_span + 7, 1.0));
@@ -86,6 +85,7 @@ impl FeatureExtractor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn features_are_deterministic_and_bounded() {
@@ -115,6 +115,68 @@ mod tests {
         let without = fx.features("a lonely dog");
         let rel_feat = without.iter().find(|&&(i, _)| i == span + 4).unwrap();
         assert_eq!(rel_feat.1, 0.0);
+    }
+
+    /// Reference extractor: owned tokens and a `format!`-built string per
+    /// bigram. The allocation-free [`FeatureExtractor::features`] must
+    /// reproduce it exactly.
+    fn reference_features(dim: usize, text: &str) -> Vec<(usize, f32)> {
+        let tokens = argus_prompts::tokenize(text);
+        let mut out = Vec::new();
+        let hash_span = dim - 8;
+        for t in &tokens {
+            out.push(((fnv1a(t.as_bytes()) as usize) % hash_span, 1.0));
+        }
+        for w in tokens.windows(2) {
+            let bigram = format!("{} {}", w[0], w[1]);
+            out.push(((fnv1a(bigram.as_bytes()) as usize) % hash_span, 0.5));
+        }
+        out.push((hash_span + (tokens.len() / 4).min(3), 1.0));
+        let relations = tokens
+            .iter()
+            .filter(|t| RELATION_WORDS.contains(&t.as_str()))
+            .count();
+        out.push((hash_span + 4, relations as f32));
+        let ofs = tokens.iter().filter(|t| t.as_str() == "of").count();
+        out.push((hash_span + 5, ofs as f32));
+        out.push((hash_span + 7, 1.0));
+        out
+    }
+
+    fn assert_same_features(a: &[(usize, f32)], b: &[(usize, f32)]) {
+        let bits =
+            |f: &[(usize, f32)]| f.iter().map(|&(i, v)| (i, v.to_bits())).collect::<Vec<_>>();
+        assert_eq!(bits(a), bits(b));
+    }
+
+    #[test]
+    fn features_match_the_format_bigram_reference_on_generated_prompts() {
+        let prompts = argus_prompts::PromptGenerator::new(8).generate_batch(500);
+        for dim in [DEFAULT_DIM, 16, 1000] {
+            let fx = FeatureExtractor::new(dim);
+            for p in &prompts {
+                assert_same_features(&fx.features(&p.text), &reference_features(dim, &p.text));
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn prop_features_match_the_format_bigram_reference(
+            mixed in "[a-zA-Z0-9 ,.;!?()-]{0,60}",
+            unicode in "[aZ9 ,.ÀÉéßΣσςİǅﬁ²٣Ω-]{0,40}",
+        ) {
+            let fx = FeatureExtractor::default();
+            let relations = "a dog next to a cat, photo of a bear Holding OF";
+            for text in [
+                mixed.as_str(),
+                unicode.as_str(),
+                &format!("{relations} {mixed}"),
+                &format!("{unicode} {relations}"),
+            ] {
+                assert_same_features(&fx.features(text), &reference_features(DEFAULT_DIM, text));
+            }
+        }
     }
 
     #[test]

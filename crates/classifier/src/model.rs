@@ -61,7 +61,9 @@ pub struct EvalReport {
 #[derive(Debug, Clone)]
 pub struct Classifier {
     extractor: FeatureExtractor,
-    /// Row-major `classes × dim` weight matrix.
+    /// Feature-major `dim × classes` weight matrix: one feature's
+    /// weights for every class sit together, so a feature reads one
+    /// cache line rather than one per class.
     weights: Vec<f32>,
     classes: usize,
 }
@@ -74,14 +76,7 @@ impl Classifier {
 
     /// Class logits for a prompt text.
     fn logits(&self, text: &str) -> Vec<f32> {
-        let dim = self.extractor.dim();
-        let feats = self.extractor.features(text);
-        (0..self.classes)
-            .map(|c| {
-                let row = &self.weights[c * dim..(c + 1) * dim];
-                feats.iter().map(|&(i, v)| row[i] * v).sum()
-            })
-            .collect()
+        logits(&self.weights, self.classes, &self.extractor.features(text))
     }
 
     /// Class probabilities (softmax over logits).
@@ -99,23 +94,15 @@ impl Classifier {
     pub fn update(&mut self, text: &str, label: usize, lr: f32) {
         assert!(label < self.classes, "label {label} out of range");
         assert!(lr.is_finite() && lr > 0.0, "invalid learning rate {lr}");
-        let dim = self.extractor.dim();
         let x = self.extractor.features(text);
-        let logits: Vec<f32> = (0..self.classes)
-            .map(|c| {
-                let row = &self.weights[c * dim..(c + 1) * dim];
-                x.iter().map(|&(i, v)| row[i] * v).sum()
-            })
-            .collect();
-        let probs = softmax(&logits);
-        for (c, &prob) in probs.iter().enumerate() {
-            let err = (prob - if c == label { 1.0 } else { 0.0 }) as f32;
-            if err.abs() < 1e-9 {
-                continue;
-            }
-            let row = &mut self.weights[c * dim..(c + 1) * dim];
-            for &(i, v) in &x {
-                row[i] -= lr * err * v;
+        let probs = softmax(&logits(&self.weights, self.classes, &x));
+        let errs = class_errors(&probs, label);
+        for &(i, v) in &x {
+            let row = &mut self.weights[i * self.classes..(i + 1) * self.classes];
+            for (w, err) in row.iter_mut().zip(&errs) {
+                if let Some(err) = err {
+                    *w -= lr * err * v;
+                }
             }
         }
     }
@@ -132,6 +119,39 @@ impl Classifier {
         }
         best
     }
+}
+
+/// Class logits of sparse features `x` under feature-major `weights`.
+///
+/// Each class sums its terms in feature order starting from `-0.0`, the
+/// start of `Iterator::<f32>::sum`, so the logits are bit-identical to a
+/// per-class `x.iter().map(|&(i, v)| w[c][i] * v).sum()`.
+fn logits(weights: &[f32], classes: usize, x: &[(usize, f32)]) -> Vec<f32> {
+    let mut acc = vec![-0.0f32; classes];
+    for &(i, v) in x {
+        let row = &weights[i * classes..(i + 1) * classes];
+        for (a, w) in acc.iter_mut().zip(row) {
+            *a += w * v;
+        }
+    }
+    acc
+}
+
+/// Per-class gradient scale `p − onehot(label)`, or `None` where it is
+/// negligible and the class's weights are left untouched.
+fn class_errors(probs: &[f64], label: usize) -> Vec<Option<f32>> {
+    probs
+        .iter()
+        .enumerate()
+        .map(|(c, &prob)| {
+            let err = (prob - if c == label { 1.0 } else { 0.0 }) as f32;
+            if err.abs() < 1e-9 {
+                None
+            } else {
+                Some(err)
+            }
+        })
+        .collect()
 }
 
 fn softmax(logits: &[f32]) -> Vec<f64> {
@@ -183,23 +203,17 @@ pub fn train(
             let x = &feats[s];
             let y = samples[s].1;
             // Forward.
-            let logits: Vec<f32> = (0..classes)
-                .map(|c| {
-                    let row = &weights[c * dim..(c + 1) * dim];
-                    x.iter().map(|&(i, v)| row[i] * v).sum()
-                })
-                .collect();
-            let probs = softmax(&logits);
+            let probs = softmax(&logits(&weights, classes, x));
             loss_sum += -(probs[y].max(1e-12)).ln();
-            // Backward: grad = (p - onehot) ⊗ x, plus L2.
-            for c in 0..classes {
-                let err = (probs[c] - if c == y { 1.0 } else { 0.0 }) as f32;
-                if err.abs() < 1e-9 {
-                    continue;
-                }
-                let row = &mut weights[c * dim..(c + 1) * dim];
-                for &(i, v) in x {
-                    row[i] -= lr * (err * v + cfg.l2 * row[i]);
+            // Backward: grad = (p - onehot) ⊗ x, plus L2. Each weight
+            // sees its updates in feature order, as in a per-class pass.
+            let errs = class_errors(&probs, y);
+            for &(i, v) in x {
+                let row = &mut weights[i * classes..(i + 1) * classes];
+                for (w, err) in row.iter_mut().zip(&errs) {
+                    if let Some(err) = err {
+                        *w -= lr * (err * v + cfg.l2 * *w);
+                    }
                 }
             }
         }
@@ -259,6 +273,133 @@ mod tests {
             crate::label_prompts(&oracle, &prompts, &ladder),
             ladder.len(),
         )
+    }
+
+    /// Reference classifier math: row-major `classes × dim` weights, one
+    /// `.sum()` and one update pass per class. The feature-major [`logits`]
+    /// path must match it bit for bit.
+    struct RowMajor {
+        weights: Vec<f32>,
+        classes: usize,
+        dim: usize,
+    }
+
+    impl RowMajor {
+        fn train(samples: &[(String, usize)], classes: usize, cfg: &TrainerConfig) -> Self {
+            let extractor = FeatureExtractor::default();
+            let dim = extractor.dim();
+            let mut weights = vec![0.0f32; classes * dim];
+            let feats: Vec<Vec<(usize, f32)>> =
+                samples.iter().map(|(t, _)| extractor.features(t)).collect();
+            let mut order: Vec<usize> = (0..samples.len()).collect();
+            let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x0074_7261_696e);
+            for epoch in 0..cfg.epochs {
+                for i in (1..order.len()).rev() {
+                    let j = rng.random_range(0..=i);
+                    order.swap(i, j);
+                }
+                let lr = cfg.learning_rate / (1.0 + epoch as f32);
+                for &s in &order {
+                    let x = &feats[s];
+                    let y = samples[s].1;
+                    let probs = softmax(&row_major_logits(&weights, classes, dim, x));
+                    for c in 0..classes {
+                        let err = (probs[c] - if c == y { 1.0 } else { 0.0 }) as f32;
+                        if err.abs() < 1e-9 {
+                            continue;
+                        }
+                        let row = &mut weights[c * dim..(c + 1) * dim];
+                        for &(i, v) in x {
+                            row[i] -= lr * (err * v + cfg.l2 * row[i]);
+                        }
+                    }
+                }
+            }
+            RowMajor {
+                weights,
+                classes,
+                dim,
+            }
+        }
+
+        fn logits(&self, x: &[(usize, f32)]) -> Vec<f32> {
+            row_major_logits(&self.weights, self.classes, self.dim, x)
+        }
+
+        fn update(&mut self, x: &[(usize, f32)], label: usize, lr: f32) {
+            let probs = softmax(&self.logits(x));
+            for (c, &prob) in probs.iter().enumerate() {
+                let err = (prob - if c == label { 1.0 } else { 0.0 }) as f32;
+                if err.abs() < 1e-9 {
+                    continue;
+                }
+                let row = &mut self.weights[c * self.dim..(c + 1) * self.dim];
+                for &(i, v) in x {
+                    row[i] -= lr * err * v;
+                }
+            }
+        }
+
+        /// The reference weights in the classifier's feature-major order.
+        fn feature_major_bits(&self) -> Vec<u32> {
+            (0..self.dim)
+                .flat_map(|i| (0..self.classes).map(move |c| (i, c)))
+                .map(|(i, c)| self.weights[c * self.dim + i].to_bits())
+                .collect()
+        }
+    }
+
+    fn row_major_logits(
+        weights: &[f32],
+        classes: usize,
+        dim: usize,
+        x: &[(usize, f32)],
+    ) -> Vec<f32> {
+        (0..classes)
+            .map(|c| {
+                let row = &weights[c * dim..(c + 1) * dim];
+                x.iter().map(|&(i, v)| row[i] * v).sum()
+            })
+            .collect()
+    }
+
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn feature_major_layout_matches_the_row_major_reference() {
+        let (samples, classes) = training_data(600, 12);
+        let cfg = TrainerConfig {
+            epochs: 3,
+            ..TrainerConfig::default()
+        };
+        let (mut clf, _) = train(&samples, classes, &cfg);
+        let mut reference = RowMajor::train(&samples, classes, &cfg);
+        assert_eq!(bits(&clf.weights), reference.feature_major_bits());
+
+        let (probe, _) = training_data(200, 13);
+        let fx = FeatureExtractor::default();
+        let texts = probe
+            .iter()
+            .map(|(t, _)| t.as_str())
+            .chain(["", "Zebra ÉTUDE 42 next to of"]);
+        for text in texts {
+            let x = fx.features(text);
+            let expected = softmax(&reference.logits(&x));
+            let got = clf.predict_proba(text);
+            assert_eq!(
+                got.iter().map(|p| p.to_bits()).collect::<Vec<_>>(),
+                expected.iter().map(|p| p.to_bits()).collect::<Vec<_>>(),
+                "{text:?}"
+            );
+        }
+
+        for (text, label) in probe.iter().take(100) {
+            clf.update(text, *label, 0.02);
+            reference.update(&fx.features(text), *label, 0.02);
+        }
+        assert_eq!(bits(&clf.weights), reference.feature_major_bits());
     }
 
     #[test]

@@ -249,10 +249,11 @@ impl SystemSimulation {
     }
 
     fn embedding_of(&mut self, idx: usize) -> Embedding {
-        if self.embeddings[idx].is_none() {
-            self.embeddings[idx] = Some(embed(&self.prompts[idx].text));
-        }
-        self.embeddings[idx].clone().expect("just inserted")
+        let prompts = &self.prompts;
+        self.embeddings
+            .entry(idx)
+            .or_insert_with(|| embed(&prompts[idx].text))
+            .clone()
     }
 
     /// Runs to completion and reports.
@@ -521,6 +522,7 @@ impl SystemSimulation {
                 self.maybe_start(w, t);
             }
             None => {
+                self.embeddings.remove(&idx);
                 self.obs_counter_add("lost", 1);
                 if self.obs_wants(idx) {
                     self.obs_span(SpanEvent::new(t, idx as u32, SpanKind::Lost));
@@ -928,12 +930,15 @@ impl SystemSimulation {
             }
         }
 
+        // The job is done, so its embedding leaves the memo; it serves the
+        // insert below when retrieval already computed it.
+        let memo = self.embeddings.remove(&job);
         // Persist this generation for future cache reuse. Replica
         // fan-out is charged as write hops by the cache-plane stage
         // (writes are asynchronous and off the critical path, §4.7, so no
         // latency accrues and the driver does not wait).
         if self.pipeline.uses_cache_store() {
-            let e = self.embedding_of(job);
+            let e = memo.unwrap_or_else(|| embed(&self.prompts[job].text));
             self.tell_cache(CacheMsg::Insert {
                 origin: w.0,
                 embedding: e,

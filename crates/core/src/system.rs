@@ -650,7 +650,11 @@ pub struct SystemSimulation {
     pub(crate) oracle: QualityOracle,
     pub(crate) prompts: Arc<Vec<Prompt>>,
     pub(crate) arrivals: Vec<SimTime>,
-    pub(crate) embeddings: Vec<Option<Embedding>>,
+    /// Embeddings of in-flight jobs, computed on first use (retrieval or
+    /// cache insert) and dropped once the job completes or is lost
+    /// (teardown drops whatever is still stranded).
+    /// `embed` is pure, so recomputing a dropped entry is always safe.
+    pub(crate) embeddings: HashMap<usize, Embedding>,
     pub(crate) switcher: StrategySwitcher,
     pub(crate) classifiers: HashMap<Strategy, Classifier>,
     pub(crate) predictors: HashMap<Strategy, WorkloadDistributionPredictor>,
@@ -817,7 +821,6 @@ impl SystemSimulation {
             generator = generator.with_drift(d);
         }
         let prompts = Arc::new(generator.generate_batch(arrivals.len()));
-        let embeddings = vec![None; prompts.len()];
 
         let oracle = QualityOracle::new(cfg.seed ^ 0x0AC1E);
 
@@ -1029,7 +1032,7 @@ impl SystemSimulation {
             oracle,
             prompts,
             arrivals,
-            embeddings,
+            embeddings: HashMap::new(),
             switcher: StrategySwitcher::new(SwitcherConfig::default()),
             classifiers,
             predictors,

@@ -24,7 +24,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use argus_prompts::tokenize;
+use std::sync::LazyLock;
+
+use argus_prompts::{fnv1a, tokens, vocab};
 
 /// Embedding dimensionality. 64 dimensions keeps k-NN fast while making
 /// unrelated-token collisions negligible for cache-retrieval purposes.
@@ -78,19 +80,10 @@ fn splitmix(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// FNV-1a hash of a token.
-fn token_hash(token: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in token.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
-}
-
-/// The fixed pseudo-random direction assigned to a token.
-fn token_direction(token: &str) -> [f32; DIM] {
-    let mut state = token_hash(token);
+/// The fixed pseudo-random direction assigned to a token, from its
+/// [`fnv1a`] hash.
+fn direction(hash: u64) -> [f32; DIM] {
+    let mut state = hash;
     let mut v = [0.0f32; DIM];
     for x in v.iter_mut() {
         // Map to roughly uniform in [-1, 1); distributional shape is
@@ -101,18 +94,96 @@ fn token_direction(token: &str) -> [f32; DIM] {
     v
 }
 
-/// Embeds prompt text into a unit-norm vector (zero vector for empty text).
-pub fn embed(text: &str) -> Embedding {
-    let tokens = tokenize(text);
-    if tokens.is_empty() {
-        return Embedding::zero();
+/// The directions of every token in the prompt vocabulary
+/// ([`argus_prompts::vocab::phrases`]), keyed by token hash in an
+/// open-addressing table. A direction depends only on its hash, so a
+/// lookup returns exactly what [`direction`] would compute.
+struct DirectionTable {
+    /// Slot → index into `entries`, or [`DirectionTable::EMPTY`].
+    slots: Vec<u32>,
+    entries: Vec<(u64, [f32; DIM])>,
+}
+
+impl DirectionTable {
+    const EMPTY: u32 = u32::MAX;
+
+    fn new(hashes: impl Iterator<Item = u64>) -> Self {
+        let mut hashes: Vec<u64> = hashes.collect();
+        hashes.sort_unstable();
+        hashes.dedup();
+        let mut table = DirectionTable {
+            slots: vec![Self::EMPTY; (2 * hashes.len()).next_power_of_two()],
+            entries: Vec::with_capacity(hashes.len()),
+        };
+        for h in hashes {
+            let mut i = table.home(h);
+            while table.slots[i] != Self::EMPTY {
+                i = (i + 1) & (table.slots.len() - 1);
+            }
+            table.slots[i] = table.entries.len() as u32;
+            table.entries.push((h, direction(h)));
+        }
+        table
     }
+
+    /// The first slot probed for `h`. A product's low bits depend only
+    /// on its operands' low bits, so FNV's high half is folded in.
+    fn home(&self, h: u64) -> usize {
+        (h ^ (h >> 32)) as usize & (self.slots.len() - 1)
+    }
+
+    fn get(&self, h: u64) -> Option<&[f32; DIM]> {
+        let mut i = self.home(h);
+        loop {
+            // At most half the slots are full, so the probe ends.
+            let e = self.slots[i];
+            if e == Self::EMPTY {
+                return None;
+            }
+            let (key, dir) = &self.entries[e as usize];
+            if *key == h {
+                return Some(dir);
+            }
+            i = (i + 1) & (self.slots.len() - 1);
+        }
+    }
+}
+
+static VOCAB_DIRECTIONS: LazyLock<DirectionTable> = LazyLock::new(|| {
+    DirectionTable::new(
+        vocab::phrases()
+            .flat_map(tokens)
+            .map(|t| fnv1a(t.as_bytes())),
+    )
+});
+
+/// Embeds prompt text into a unit-norm vector (zero vector for empty text).
+///
+/// Vocabulary tokens read their direction from a table built once;
+/// any other token computes it on the fly. Directions are summed in token
+/// order either way, so the result does not depend on which path a token
+/// took.
+pub fn embed(text: &str) -> Embedding {
+    let table = &*VOCAB_DIRECTIONS;
     let mut v = [0.0f32; DIM];
-    for t in &tokens {
-        let dir = token_direction(t);
+    let mut empty = true;
+    for t in tokens(text) {
+        empty = false;
+        let h = fnv1a(t.as_bytes());
+        let computed;
+        let dir = match table.get(h) {
+            Some(dir) => dir,
+            None => {
+                computed = direction(h);
+                &computed
+            }
+        };
         for (a, b) in v.iter_mut().zip(dir.iter()) {
             *a += b;
         }
+    }
+    if empty {
+        return Embedding::zero();
     }
     let norm = v.iter().map(|x| x * x).sum::<f32>().sqrt();
     if norm > 0.0 {
@@ -190,7 +261,78 @@ mod tests {
         assert!(cosine(&a, &b).abs() < 0.35);
     }
 
+    /// Reference embedding: the owned tokenizer and a fresh SplitMix
+    /// expansion per token. The memoized [`embed`] must match it bit for
+    /// bit.
+    fn reference_embed(text: &str) -> Embedding {
+        let tokens = argus_prompts::tokenize(text);
+        if tokens.is_empty() {
+            return Embedding::zero();
+        }
+        let mut v = [0.0f32; DIM];
+        for t in &tokens {
+            let dir = direction(fnv1a(t.as_bytes()));
+            for (a, b) in v.iter_mut().zip(dir.iter()) {
+                *a += b;
+            }
+        }
+        let norm = v.iter().map(|x| x * x).sum::<f32>().sqrt();
+        if norm > 0.0 {
+            for x in v.iter_mut() {
+                *x /= norm;
+            }
+        }
+        Embedding::from_array(v)
+    }
+
+    fn assert_bit_equal(a: &Embedding, b: &Embedding) {
+        let bits = |e: &Embedding| e.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(a), bits(b));
+        assert_eq!(a.norm().to_bits(), b.norm().to_bits());
+    }
+
+    #[test]
+    fn vocabulary_tokens_hit_the_direction_table() {
+        let table = &*VOCAB_DIRECTIONS;
+        for t in vocab::phrases().flat_map(tokens) {
+            let h = fnv1a(t.as_bytes());
+            assert_eq!(table.get(h), Some(&direction(h)), "{t}");
+        }
+        assert!(table.get(fnv1a(b"zyxwv")).is_none());
+    }
+
+    #[test]
+    fn memoized_embedding_matches_the_reference_on_generated_prompts() {
+        let mut generator =
+            argus_prompts::PromptGenerator::new(3).with_drift(argus_prompts::DriftSchedule {
+                start_at: 0,
+                ramp: 1,
+                max_fraction: 0.5,
+            });
+        for p in generator.generate_batch(500) {
+            assert_bit_equal(&embed(&p.text), &reference_embed(&p.text));
+        }
+    }
+
     proptest! {
+        #[test]
+        fn prop_memoized_embedding_is_bit_identical(
+            words in "[a-z ]{0,40}",
+            mixed in "[a-zA-Z0-9 ,.;!?()-]{0,60}",
+            unicode in "[aZ9 ,.ÀÉéßΣσςİǅﬁ²٣Ω-]{0,40}",
+        ) {
+            let vocabulary = "photo of a red apple lying on a table, 4k";
+            for text in [
+                words.as_str(),
+                mixed.as_str(),
+                unicode.as_str(),
+                &format!("{vocabulary} {mixed}"),
+                &format!("{unicode}{vocabulary}"),
+            ] {
+                assert_bit_equal(&embed(text), &reference_embed(text));
+            }
+        }
+
         #[test]
         fn prop_cosine_bounded(s1 in "[a-z ]{0,60}", s2 in "[a-z ]{0,60}") {
             let c = cosine(&embed(&s1), &embed(&s2));

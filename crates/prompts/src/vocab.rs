@@ -362,6 +362,23 @@ pub const THEMES: &[Theme] = &[
 /// Number of themes present from the start (pre-drift distribution).
 pub const BASE_THEMES: usize = 6;
 
+/// Every phrase the generator can put into a prompt: each theme's
+/// subjects, settings, styles and modifiers, the relations, and the
+/// `"{style} of …"` joiner. Tokenizing these yields the stream's whole
+/// token vocabulary.
+pub fn phrases() -> impl Iterator<Item = &'static str> {
+    THEMES
+        .iter()
+        .flat_map(|t| {
+            [t.subjects, t.settings, t.styles, t.modifiers]
+                .into_iter()
+                .flatten()
+                .copied()
+        })
+        .chain(RELATIONS.iter().copied())
+        .chain(std::iter::once("of"))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -376,6 +393,22 @@ mod tests {
             assert!(t.modifiers.len() >= 6, "{}: too few modifiers", t.name);
         }
         assert!(RELATIONS.len() >= 8);
+    }
+
+    #[test]
+    fn generated_prompts_use_only_catalog_tokens() {
+        let vocab: std::collections::BTreeSet<String> =
+            phrases().flat_map(crate::tokenize).collect();
+        let mut generator = crate::PromptGenerator::new(5).with_drift(crate::DriftSchedule {
+            start_at: 0,
+            ramp: 1,
+            max_fraction: 0.5,
+        });
+        for p in generator.generate_batch(2000) {
+            for t in crate::tokens(&p.text) {
+                assert!(vocab.contains(t.as_ref()), "{t:?} missing from phrases()");
+            }
+        }
     }
 
     #[test]
