@@ -13,7 +13,7 @@ use argus_embed::embed;
 use argus_models::{ApproxLevel, GpuArch, Strategy};
 use argus_prompts::PromptGenerator;
 use argus_quality::QualityOracle;
-use argus_vdb::FlatIndex;
+use argus_vdb::{FlatIndex, LshIndex};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -66,15 +66,23 @@ fn bench_text_path(c: &mut Criterion) {
     });
 }
 
+/// One nearest-neighbour lookup over 768 cached prompts (the default
+/// `vdb_capacity`): the exact flat scan and the 8-bit multi-probe LSH
+/// index of the shared-VDB deployment.
 fn bench_vdb(c: &mut Criterion) {
     let prompts = PromptGenerator::new(1).generate_batch(768);
     let mut index = FlatIndex::with_capacity_limit(768);
+    let mut lsh = LshIndex::with_capacity_limit(8, 1, 768);
     for (i, p) in prompts.iter().enumerate() {
         index.insert(embed(&p.text), i as u64);
+        lsh.insert(embed(&p.text), i as u64);
     }
     let query = embed("photo of a red apple on a wooden table");
     c.bench_function("vdb_nearest_768", |b| {
         b.iter(|| black_box(index.nearest(&query)))
+    });
+    c.bench_function("vdb_lsh_nearest_768", |b| {
+        b.iter(|| black_box(lsh.nearest(&query)))
     });
 }
 

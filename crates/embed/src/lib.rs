@@ -65,6 +65,12 @@ impl Embedding {
         &self.v
     }
 
+    /// The raw coordinates as a fixed-size array (what the lane kernels
+    /// take).
+    pub fn as_array(&self) -> &[f32; DIM] {
+        &self.v
+    }
+
     /// Euclidean norm.
     pub fn norm(&self) -> f32 {
         self.norm
@@ -197,11 +203,77 @@ pub fn embed(text: &str) -> Embedding {
 /// Cosine similarity of two embeddings, in `[-1, 1]`; 0 if either is zero.
 pub fn cosine(a: &Embedding, b: &Embedding) -> f32 {
     let dot: f32 = a.v.iter().zip(b.v.iter()).map(|(x, y)| x * y).sum();
-    if a.norm == 0.0 || b.norm == 0.0 {
+    cosine_of_dot(dot, a.norm, b.norm)
+}
+
+/// The cosine similarity behind a dot product `dot` of vectors with
+/// norms `a_norm` and `b_norm`: `dot / (a_norm * b_norm)` clamped to
+/// `[-1, 1]`, and 0 when either norm is 0. [`cosine`] and [`cosines`]
+/// both finish here, as do the indexes that keep norms beside lane-major
+/// coordinates.
+#[inline]
+pub fn cosine_of_dot(dot: f32, a_norm: f32, b_norm: f32) -> f32 {
+    // Both arms are computed so a lane loop can select instead of branch.
+    let similarity = (dot / (a_norm * b_norm)).clamp(-1.0, 1.0);
+    if a_norm == 0.0 || b_norm == 0.0 {
         0.0
     } else {
-        (dot / (a.norm * b.norm)).clamp(-1.0, 1.0)
+        similarity
     }
+}
+
+/// Rows scored per pass of the lane kernels ([`dot_lanes`], [`cosines`]).
+pub const LANES: usize = 8;
+
+/// The lane kernel: dot products of `query` with [`LANES`] rows, where
+/// `column(d)` returns coordinate `d` of every row.
+///
+/// Each lane keeps its own accumulator, starts at `-0.0` and adds
+/// `query[d] * row[d]` in dimension order — exactly the fold
+/// `Iterator::<f32>::sum` runs over the products, so every lane is bit
+/// for bit the serial `query.iter().zip(row).map(|(x, y)| x * y).sum()`.
+/// Rust never contracts `acc + x * y` into a fused multiply-add. What
+/// the lanes buy is independence: eight add chains in flight instead of
+/// one, which the compiler keeps in vector registers.
+#[inline(always)]
+fn lanes(query: &[f32; DIM], column: impl Fn(usize) -> [f32; LANES]) -> [f32; LANES] {
+    let mut acc = [-0.0f32; LANES];
+    for (d, &q) in query.iter().enumerate() {
+        let col = column(d);
+        for (a, &y) in acc.iter_mut().zip(col.iter()) {
+            *a += q * y;
+        }
+    }
+    acc
+}
+
+/// Dot products of `query` with the [`LANES`] rows of a lane-major
+/// block (`block[d][lane]` is coordinate `d` of row `lane`). Lane `i` is
+/// bit-equal to the serial dot product of `query` with row `i`.
+pub fn dot_lanes(query: &[f32; DIM], block: &[[f32; LANES]; DIM]) -> [f32; LANES] {
+    lanes(query, |d| block[d])
+}
+
+/// [`cosine`] of `query` with up to [`LANES`] row-major embeddings at
+/// once: lane `i < rows.len()` is bit-equal to `cosine(query, rows[i])`,
+/// and the lanes past `rows.len()` are 0.
+///
+/// # Panics
+/// Panics if `rows` holds more than [`LANES`] embeddings.
+pub fn cosines(query: &Embedding, rows: &[&Embedding]) -> [f32; LANES] {
+    assert!(rows.len() <= LANES, "cosines takes at most {LANES} rows");
+    let mut out = [0.0f32; LANES];
+    let Some(last) = rows.len().checked_sub(1) else {
+        return out;
+    };
+    // A short batch repeats its last row into the spare lanes, so the
+    // gather reads no branch per coordinate.
+    let coords: [&[f32; DIM]; LANES] = std::array::from_fn(|i| &rows[i.min(last)].v);
+    let dots = lanes(&query.v, |d| coords.map(|row| row[d]));
+    for ((o, &dot), e) in out.iter_mut().zip(dots.iter()).zip(rows) {
+        *o = cosine_of_dot(dot, query.norm, e.norm);
+    }
+    out
 }
 
 #[cfg(test)]
@@ -314,7 +386,121 @@ mod tests {
         }
     }
 
+    /// The serial dot product every lane must reproduce bit for bit.
+    fn serial_dot(a: &[f32; DIM], b: &[f32; DIM]) -> f32 {
+        a.iter().zip(b).map(|(x, y)| x * y).sum()
+    }
+
+    /// A coordinate drawn from `r`: signed zeros often, so products of
+    /// `-0.0` and all-zero rows occur, otherwise uniform in `[-1, 1)`
+    /// times a power of two, so the sums round.
+    fn coordinate(r: u64) -> f32 {
+        match r % 6 {
+            0 => 0.0,
+            1 => -0.0,
+            _ => {
+                let unit = (r >> 11) as f32 / (1u64 << 53) as f32 * 2.0 - 1.0;
+                unit * f32::powi(2.0, (r >> 3) as i32 % 9 - 4)
+            }
+        }
+    }
+
+    /// `n` rows from `draws` (one coordinate each), with every row whose
+    /// index is in `zero_rows` set to `-0.0`/`0.0` throughout.
+    fn rows_from(draws: &[u64], n: usize, zero_rows: u64) -> Vec<[f32; DIM]> {
+        (0..n)
+            .map(|i| {
+                std::array::from_fn(|d| {
+                    let x = coordinate(draws[i * DIM + d]);
+                    if zero_rows >> i & 1 == 1 {
+                        x.signum() * 0.0
+                    } else {
+                        x
+                    }
+                })
+            })
+            .collect()
+    }
+
+    /// Fills the first `rows.len()` lanes of a block (NaN elsewhere, as
+    /// a partly filled block holds leftovers) and checks each against the
+    /// serial sum.
+    fn assert_lanes_match(query: &[f32; DIM], rows: &[[f32; DIM]]) {
+        let mut block = [[f32::NAN; LANES]; DIM];
+        for (lane, row) in rows.iter().enumerate() {
+            for d in 0..DIM {
+                block[d][lane] = row[d];
+            }
+        }
+        let dots = dot_lanes(query, &block);
+        for (lane, row) in rows.iter().enumerate() {
+            assert_eq!(dots[lane].to_bits(), serial_dot(query, row).to_bits());
+        }
+    }
+
+    #[test]
+    fn lanes_start_at_negative_zero_like_the_serial_sum() {
+        // Every product is -0.0: the serial sum is -0.0, and a lane that
+        // started at +0.0 would return +0.0.
+        let query = [0.0f32; DIM];
+        let row = [-1.0f32; DIM];
+        let serial = serial_dot(&query, &row);
+        assert_eq!(serial.to_bits(), (-0.0f32).to_bits());
+        let block = [[-1.0f32; LANES]; DIM];
+        for lane in dot_lanes(&query, &block) {
+            assert_eq!(lane.to_bits(), serial.to_bits());
+        }
+    }
+
+    #[test]
+    fn cosines_match_cosine_on_generated_prompts() {
+        let pool: Vec<Embedding> = argus_prompts::PromptGenerator::new(9)
+            .generate_batch(40)
+            .iter()
+            .map(|p| embed(&p.text))
+            .chain([Embedding::zero()])
+            .collect();
+        let query = embed("photo of a red apple on a wooden table");
+        for chunk in pool.chunks(LANES) {
+            let rows: Vec<&Embedding> = chunk.iter().collect();
+            let sims = cosines(&query, &rows);
+            for (sim, e) in sims.iter().zip(chunk) {
+                assert_eq!(sim.to_bits(), cosine(&query, e).to_bits());
+            }
+        }
+    }
+
     proptest! {
+        #[test]
+        fn prop_lane_kernel_is_bit_identical_to_the_serial_sum(
+            draws in proptest::collection::vec(0u64..=u64::MAX, DIM * (LANES + 1)),
+            n in 0usize..=LANES,
+            zero_rows in 0u64..512,
+        ) {
+            let rows = rows_from(&draws, LANES + 1, zero_rows);
+            let query = rows[LANES];
+            assert_lanes_match(&query, &rows[..n]);
+        }
+
+        #[test]
+        fn prop_cosines_are_bit_identical_to_cosine(
+            draws in proptest::collection::vec(0u64..=u64::MAX, DIM * (LANES + 1)),
+            n in 0usize..=LANES,
+            zero_rows in 0u64..512,
+        ) {
+            let embeddings: Vec<Embedding> = rows_from(&draws, LANES + 1, zero_rows)
+                .into_iter()
+                .map(Embedding::from_array)
+                .collect();
+            let query = &embeddings[LANES];
+            let rows: Vec<&Embedding> = embeddings[..n].iter().collect();
+            let sims = cosines(query, &rows);
+            for (lane, &sim) in sims.iter().enumerate() {
+                let want = rows.get(lane).map_or(0.0, |e| cosine(query, e));
+                prop_assert_eq!(sim.to_bits(), want.to_bits());
+            }
+        }
+
         #[test]
         fn prop_memoized_embedding_is_bit_identical(
             words in "[a-z ]{0,40}",

@@ -1,7 +1,7 @@
 //! The deterministic PickScore oracle.
 
 use argus_models::{ApproxLevel, Strategy};
-use argus_prompts::Prompt;
+use argus_prompts::{fnv1a, Prompt};
 
 use crate::depth::approximation_depth;
 
@@ -81,15 +81,6 @@ pub struct QualityOracle {
     seed: u64,
 }
 
-fn fnv(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
-}
-
 fn mix(a: u64, b: u64) -> u64 {
     let mut z = a ^ b.wrapping_mul(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -116,7 +107,7 @@ impl QualityOracle {
     }
 
     fn prompt_hash(&self, p: &Prompt) -> u64 {
-        mix(mix(self.seed, fnv(p.text.as_bytes())), p.id.0)
+        mix(mix(self.seed, fnv1a(p.text.as_bytes())), p.id.0)
     }
 
     /// The best achievable PickScore for this prompt (its SD-XL / K=0

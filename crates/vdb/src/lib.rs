@@ -36,7 +36,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use argus_embed::{cosine, Embedding, DIM};
+use argus_embed::{cosine_of_dot, cosines, dot_lanes, Embedding, DIM, LANES};
 use parking_lot::RwLock;
 
 pub mod shard;
@@ -101,9 +101,8 @@ pub trait VectorIndex<P> {
 }
 
 /// Generates `n` fixed pseudo-random hyperplanes from a seeded SplitMix64
-/// stream — the shared projection substrate of [`LshIndex`] buckets and
-/// [`shard::ShardRouter`] cells (each caller salts the seed differently).
-pub(crate) fn seeded_planes(n: usize, seed: u64) -> Vec<[f32; DIM]> {
+/// stream, row-major — the substrate of [`Planes`].
+fn seeded_planes(n: usize, seed: u64) -> Vec<[f32; DIM]> {
     let mut planes = Vec::with_capacity(n);
     let mut state = seed;
     let mut next = move || {
@@ -123,10 +122,68 @@ pub(crate) fn seeded_planes(n: usize, seed: u64) -> Vec<[f32; DIM]> {
     planes
 }
 
+/// Fixed pseudo-random hyperplanes — the shared projection substrate of
+/// [`LshIndex`] buckets and [`shard::ShardRouter`] cells (each caller
+/// salts the seed differently).
+///
+/// The planes are held transposed, [`LANES`] to a lane-major block, so
+/// one pass of [`dot_lanes`] projects an embedding onto eight planes;
+/// each projection stays bit-equal to the serial dot product. Lanes past
+/// the last plane are zero and never reported.
+#[derive(Debug, Clone)]
+pub(crate) struct Planes {
+    blocks: Vec<[[f32; LANES]; DIM]>,
+    len: usize,
+}
+
+impl Planes {
+    /// `n` planes from [`seeded_planes`].
+    pub(crate) fn seeded(n: usize, seed: u64) -> Self {
+        let mut blocks = vec![[[0.0f32; LANES]; DIM]; n.div_ceil(LANES)];
+        for (p, plane) in seeded_planes(n, seed).iter().enumerate() {
+            for (d, &x) in plane.iter().enumerate() {
+                blocks[p / LANES][d][p % LANES] = x;
+            }
+        }
+        Planes { blocks, len: n }
+    }
+
+    /// Number of planes.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Calls `f(plane, projection)` for every plane, in plane order.
+    pub(crate) fn project(&self, e: &Embedding, mut f: impl FnMut(usize, f32)) {
+        for (b, block) in self.blocks.iter().enumerate() {
+            let dots = dot_lanes(e.as_array(), block);
+            let live = (self.len - b * LANES).min(LANES);
+            for (lane, &dot) in dots[..live].iter().enumerate() {
+                f(b * LANES + lane, dot);
+            }
+        }
+    }
+
+    /// The sign-pattern key of `e`: bit `b` is set when the projection
+    /// onto plane `b` is non-negative.
+    pub(crate) fn key(&self, e: &Embedding) -> u64 {
+        let mut key = 0u64;
+        self.project(e, |b, dot| {
+            if dot >= 0.0 {
+                key |= 1 << b;
+            }
+        });
+        key
+    }
+}
+
+/// A scored candidate: similarity, insertion sequence, slot.
+type Scored = (f32, u64, usize);
+
 /// Orders scored candidates best-first: similarity descending, then older
-/// (lower insertion rank) first — the deterministic tie-break every index
-/// guarantees.
-fn by_rank(a: &(f32, usize), b: &(f32, usize)) -> std::cmp::Ordering {
+/// (lower insertion sequence) first — the deterministic tie-break every
+/// index guarantees.
+fn by_rank(a: &Scored, b: &Scored) -> std::cmp::Ordering {
     b.0.partial_cmp(&a.0)
         .unwrap_or(std::cmp::Ordering::Equal)
         .then(a.1.cmp(&b.1))
@@ -148,14 +205,71 @@ fn top_k_by<T>(
     scored
 }
 
+/// The running single best candidate under [`by_rank`]'s order, kept
+/// without materializing or sorting the candidates.
+#[derive(Default)]
+struct Best(Option<Scored>);
+
+impl Best {
+    fn offer(&mut self, similarity: f32, seq: u64, slot: usize) {
+        let better = match self.0 {
+            None => true,
+            Some((best_sim, best_seq, _)) => {
+                similarity > best_sim || (similarity == best_sim && seq < best_seq)
+            }
+        };
+        if better {
+            self.0 = Some((similarity, seq, slot));
+        }
+    }
+}
+
+/// [`Block::seqs`] stamp of a free lane.
+const DEAD: u64 = u64::MAX;
+
+/// [`LANES`] consecutive [`FlatIndex`] slots, lane-major: coordinate `d`
+/// of every lane sits in one `[f32; LANES]` row, beside the lanes' norms
+/// and insertion stamps. A scan reads one contiguous block per eight
+/// entries and never touches the per-slot entries.
+#[derive(Debug, Clone)]
+struct Block {
+    coords: [[f32; LANES]; DIM],
+    norms: [f32; LANES],
+    /// Insertion sequence per lane; [`DEAD`] for a free slot.
+    seqs: [u64; LANES],
+}
+
+impl Block {
+    fn empty() -> Self {
+        Block {
+            coords: [[0.0; LANES]; DIM],
+            norms: [0.0; LANES],
+            seqs: [DEAD; LANES],
+        }
+    }
+}
+
 /// Exact brute-force cosine index.
+///
+/// Entries live in recycled slots, and slot `s` is lane `s % LANES` of
+/// lane-major block `s / LANES`, so a scan scores eight entries per
+/// [`dot_lanes`] pass with every similarity bit-equal to
+/// [`cosine`](argus_embed::cosine). A monotone insertion sequence stands
+/// in for FIFO age: results rank by similarity, then older first.
 ///
 /// With a capacity limit set, the oldest entries are evicted FIFO once the
 /// limit is reached — modelling bounded cache storage.
 #[derive(Debug, Clone)]
 pub struct FlatIndex<P> {
-    entries: std::collections::VecDeque<(Embedding, P)>,
+    /// Slot → stored entry (`None` when the slot is free).
+    slots: Vec<Option<(Embedding, P)>>,
+    blocks: Vec<Block>,
+    /// Live slots in insertion order (front = oldest).
+    fifo: std::collections::VecDeque<usize>,
+    /// Recycled slots.
+    free: Vec<usize>,
     capacity: Option<usize>,
+    next_seq: u64,
 }
 
 impl<P> Default for FlatIndex<P> {
@@ -168,8 +282,12 @@ impl<P> FlatIndex<P> {
     /// Creates an unbounded index.
     pub fn new() -> Self {
         FlatIndex {
-            entries: std::collections::VecDeque::new(),
+            slots: Vec::new(),
+            blocks: Vec::new(),
+            fifo: std::collections::VecDeque::new(),
+            free: Vec::new(),
             capacity: None,
+            next_seq: 0,
         }
     }
 
@@ -179,31 +297,75 @@ impl<P> FlatIndex<P> {
     /// Panics if `capacity == 0`.
     pub fn with_capacity_limit(capacity: usize) -> Self {
         assert!(capacity > 0, "capacity limit must be positive");
-        FlatIndex {
-            entries: std::collections::VecDeque::with_capacity(capacity),
-            capacity: Some(capacity),
-        }
+        let mut idx = Self::new();
+        idx.capacity = Some(capacity);
+        idx
     }
 
     /// Number of stored embeddings.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.fifo.len()
     }
 
     /// Whether the index is empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.fifo.is_empty()
+    }
+
+    /// Frees a live slot, returning its entry.
+    fn release(&mut self, slot: usize) -> (Embedding, P) {
+        self.blocks[slot / LANES].seqs[slot % LANES] = DEAD;
+        self.free.push(slot);
+        self.slots[slot].take().expect("released slots are live")
     }
 
     /// Inserts an embedding with its payload, evicting the oldest entry if
     /// at capacity. Returns the evicted payload, if any.
     pub fn insert(&mut self, embedding: Embedding, payload: P) -> Option<P> {
         let evicted = match self.capacity {
-            Some(cap) if self.entries.len() >= cap => self.entries.pop_front().map(|(_, p)| p),
+            Some(cap) if self.fifo.len() >= cap => {
+                self.fifo.pop_front().map(|slot| self.release(slot).1)
+            }
             _ => None,
         };
-        self.entries.push_back((embedding, payload));
+        let slot = self.free.pop().unwrap_or_else(|| {
+            if self.slots.len().is_multiple_of(LANES) {
+                self.blocks.push(Block::empty());
+            }
+            self.slots.push(None);
+            self.slots.len() - 1
+        });
+        let block = &mut self.blocks[slot / LANES];
+        let lane = slot % LANES;
+        for (row, &x) in block.coords.iter_mut().zip(embedding.as_array()) {
+            row[lane] = x;
+        }
+        block.norms[lane] = embedding.norm();
+        block.seqs[lane] = self.next_seq;
+        self.next_seq += 1;
+        self.slots[slot] = Some((embedding, payload));
+        self.fifo.push_back(slot);
         evicted
+    }
+
+    /// Scores every live entry against `query`, block by block, calling
+    /// `f(similarity, seq, slot)` for each.
+    fn scan(&self, query: &Embedding, mut f: impl FnMut(f32, u64, usize)) {
+        for (b, block) in self.blocks.iter().enumerate() {
+            let dots = dot_lanes(query.as_array(), &block.coords);
+            let sims: [f32; LANES] = std::array::from_fn(|lane| {
+                cosine_of_dot(dots[lane], query.norm(), block.norms[lane])
+            });
+            for (lane, (&sim, &seq)) in sims.iter().zip(&block.seqs).enumerate() {
+                if seq != DEAD {
+                    f(sim, seq, b * LANES + lane);
+                }
+            }
+        }
+    }
+
+    fn payload(&self, slot: usize) -> &P {
+        &self.slots[slot].as_ref().expect("scored slots are live").1
     }
 
     /// Returns up to `k` nearest entries by cosine similarity, best first.
@@ -213,27 +375,29 @@ impl<P> FlatIndex<P> {
     where
         P: Clone,
     {
-        let mut scored: Vec<(f32, usize)> = self
-            .entries
-            .iter()
-            .enumerate()
-            .map(|(i, (e, _))| (cosine(query, e), i))
-            .collect();
+        let mut scored: Vec<Scored> = Vec::with_capacity(self.len());
+        self.scan(query, |sim, seq, slot| scored.push((sim, seq, slot)));
         top_k_by(&mut scored, k, by_rank)
             .iter()
-            .map(|&(similarity, i)| SearchHit {
+            .map(|&(similarity, _, slot)| SearchHit {
                 similarity,
-                payload: self.entries[i].1.clone(),
+                payload: self.payload(slot).clone(),
             })
             .collect()
     }
 
-    /// The single best match, if the index is non-empty.
+    /// The single best match, if the index is non-empty: what
+    /// `search(query, 1)` returns, kept as a running best over the scan.
     pub fn nearest(&self, query: &Embedding) -> Option<SearchHit<P>>
     where
         P: Clone,
     {
-        self.search(query, 1).into_iter().next()
+        let mut best = Best::default();
+        self.scan(query, |sim, seq, slot| best.offer(sim, seq, slot));
+        best.0.map(|(similarity, _, slot)| SearchHit {
+            similarity,
+            payload: self.payload(slot).clone(),
+        })
     }
 
     /// Removes and returns every entry matching `pred`, oldest first; the
@@ -243,15 +407,16 @@ impl<P> FlatIndex<P> {
         mut pred: impl FnMut(&Embedding, &P) -> bool,
     ) -> Vec<(Embedding, P)> {
         let mut out = Vec::new();
-        let mut kept = std::collections::VecDeque::with_capacity(self.entries.len());
-        for (e, p) in self.entries.drain(..) {
-            if pred(&e, &p) {
-                out.push((e, p));
+        let mut kept = std::collections::VecDeque::with_capacity(self.fifo.len());
+        for slot in std::mem::take(&mut self.fifo) {
+            let (e, p) = self.slots[slot].as_ref().expect("fifo slots are live");
+            if pred(e, p) {
+                out.push(self.release(slot));
             } else {
-                kept.push_back((e, p));
+                kept.push_back(slot);
             }
         }
-        self.entries = kept;
+        self.fifo = kept;
         out
     }
 
@@ -263,8 +428,9 @@ impl<P> FlatIndex<P> {
     pub fn set_capacity(&mut self, capacity: usize) -> Vec<P> {
         assert!(capacity > 0, "capacity limit must be positive");
         let mut evicted = Vec::new();
-        while self.entries.len() > capacity {
-            evicted.push(self.entries.pop_front().expect("len checked").1);
+        while self.fifo.len() > capacity {
+            let slot = self.fifo.pop_front().expect("len checked");
+            evicted.push(self.release(slot).1);
         }
         self.capacity = Some(capacity);
         evicted
@@ -294,6 +460,13 @@ impl<P> VectorIndex<P> for FlatIndex<P> {
     fn set_capacity(&mut self, capacity: usize) -> Vec<P> {
         FlatIndex::set_capacity(self, capacity)
     }
+
+    fn nearest(&self, query: &Embedding) -> Option<SearchHit<P>>
+    where
+        P: Clone,
+    {
+        FlatIndex::nearest(self, query)
+    }
 }
 
 /// One live LSH entry.
@@ -307,16 +480,21 @@ struct LshEntry<P> {
     seq: u64,
 }
 
+/// Seed salt of the [`LshIndex`] hyperplanes ("lsh_vdb").
+const LSH_SALT: u64 = 0x006c_7368_5f76_6462;
+
 /// Hyperplane-LSH index with multi-probe search.
 ///
 /// Embeddings hash to a bucket by the sign pattern of `bits` fixed random
 /// hyperplane projections; search probes the query's bucket and all buckets
-/// at Hamming distance 1, then ranks candidates by exact cosine. An
-/// optional FIFO capacity limit mirrors [`FlatIndex`]'s bounded-storage
-/// behaviour.
+/// at Hamming distance 1, then ranks candidates by exact cosine, scored
+/// [`LANES`] at a time ([`cosines`]). Entries stay row-major: a probe's
+/// candidates are scattered slots, and a row is 4 cache lines where its
+/// lane of a lane-major block would span 64 half-lines. An optional FIFO
+/// capacity limit mirrors [`FlatIndex`]'s bounded-storage behaviour.
 #[derive(Debug, Clone)]
 pub struct LshIndex<P> {
-    planes: Vec<[f32; DIM]>,
+    planes: Planes,
     buckets: std::collections::HashMap<u64, Vec<usize>>,
     entries: Vec<Option<LshEntry<P>>>,
     /// Live slots in insertion order (front = oldest).
@@ -336,7 +514,7 @@ impl<P> LshIndex<P> {
     pub fn new(bits: usize, seed: u64) -> Self {
         assert!((1..=24).contains(&bits), "bits must be in 1..=24");
         LshIndex {
-            planes: seeded_planes(bits, seed ^ 0x006c_7368_5f76_6462), // "lsh_vdb"
+            planes: Planes::seeded(bits, seed ^ LSH_SALT),
             buckets: std::collections::HashMap::new(),
             entries: Vec::new(),
             fifo: std::collections::VecDeque::new(),
@@ -359,19 +537,7 @@ impl<P> LshIndex<P> {
     }
 
     fn bucket_of(&self, e: &Embedding) -> u64 {
-        let mut key = 0u64;
-        for (b, plane) in self.planes.iter().enumerate() {
-            let dot: f32 = e
-                .as_slice()
-                .iter()
-                .zip(plane.iter())
-                .map(|(x, y)| x * y)
-                .sum();
-            if dot >= 0.0 {
-                key |= 1 << b;
-            }
-        }
-        key
+        self.planes.key(e)
     }
 
     /// Number of stored embeddings.
@@ -382,6 +548,12 @@ impl<P> LshIndex<P> {
     /// Whether the index is empty.
     pub fn is_empty(&self) -> bool {
         self.fifo.is_empty()
+    }
+
+    fn live(&self, slot: usize) -> &LshEntry<P> {
+        self.entries[slot]
+            .as_ref()
+            .expect("buckets hold live slots")
     }
 
     /// Evicts the oldest live entry, unlinking it from its bucket and
@@ -427,6 +599,39 @@ impl<P> LshIndex<P> {
         evicted
     }
 
+    /// Scores the multi-probe candidates of `query` — its bucket, then the
+    /// buckets at Hamming distance 1 — [`LANES`] at a time, calling
+    /// `f(similarity, seq, slot)` for each.
+    fn score_probes(&self, query: &Embedding, mut f: impl FnMut(f32, u64, usize)) {
+        let key = self.bucket_of(query);
+        let probes = std::iter::once(key).chain((0..self.planes.len()).map(|bit| key ^ (1 << bit)));
+        let mut batch = [0usize; LANES];
+        let mut n = 0;
+        for slot in probes.filter_map(|k| self.buckets.get(&k)).flatten() {
+            batch[n] = *slot;
+            n += 1;
+            if n == LANES {
+                self.score_batch(query, &batch, &mut f);
+                n = 0;
+            }
+        }
+        if n > 0 {
+            self.score_batch(query, &batch[..n], &mut f);
+        }
+    }
+
+    /// Scores up to [`LANES`] live slots in one [`cosines`] pass.
+    fn score_batch(&self, query: &Embedding, slots: &[usize], f: &mut impl FnMut(f32, u64, usize)) {
+        let mut rows = [query; LANES];
+        for (row, &slot) in rows.iter_mut().zip(slots) {
+            *row = &self.live(slot).embedding;
+        }
+        let sims = cosines(query, &rows[..slots.len()]);
+        for (&slot, &sim) in slots.iter().zip(sims.iter()) {
+            f(sim, self.live(slot).seq, slot);
+        }
+    }
+
     /// Multi-probe k-NN: scans the query bucket and its Hamming-1
     /// neighbours, ranking candidates by exact cosine similarity (older
     /// entries win ties). Only the `k` winners are sorted.
@@ -434,37 +639,13 @@ impl<P> LshIndex<P> {
     where
         P: Clone,
     {
-        let key = self.bucket_of(query);
-        let mut candidates: Vec<usize> = Vec::new();
-        if let Some(b) = self.buckets.get(&key) {
-            candidates.extend_from_slice(b);
-        }
-        for bit in 0..self.planes.len() {
-            if let Some(b) = self.buckets.get(&(key ^ (1 << bit))) {
-                candidates.extend_from_slice(b);
-            }
-        }
-        let mut scored: Vec<(f32, u64, usize)> = candidates
-            .into_iter()
-            .map(|i| {
-                let e = self.entries[i].as_ref().expect("buckets hold live slots");
-                (cosine(query, &e.embedding), e.seq, i)
-            })
-            .collect();
-        let cmp = |a: &(f32, u64, usize), b: &(f32, u64, usize)| {
-            b.0.partial_cmp(&a.0)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.1.cmp(&b.1))
-        };
-        top_k_by(&mut scored, k, cmp)
+        let mut scored: Vec<Scored> = Vec::new();
+        self.score_probes(query, |sim, seq, slot| scored.push((sim, seq, slot)));
+        top_k_by(&mut scored, k, by_rank)
             .iter()
-            .map(|&(similarity, _, i)| SearchHit {
+            .map(|&(similarity, _, slot)| SearchHit {
                 similarity,
-                payload: self.entries[i]
-                    .as_ref()
-                    .expect("buckets hold live slots")
-                    .payload
-                    .clone(),
+                payload: self.live(slot).payload.clone(),
             })
             .collect()
     }
@@ -478,38 +659,11 @@ impl<P> LshIndex<P> {
     where
         P: Clone,
     {
-        let key = self.bucket_of(query);
-        let mut best: Option<(f32, u64, usize)> = None;
-        let mut consider = |slot: usize| {
-            let e = self.entries[slot]
-                .as_ref()
-                .expect("buckets hold live slots");
-            let sim = cosine(query, &e.embedding);
-            let better = match best {
-                None => true,
-                Some((best_sim, best_seq, _)) => {
-                    sim > best_sim || (sim == best_sim && e.seq < best_seq)
-                }
-            };
-            if better {
-                best = Some((sim, e.seq, slot));
-            }
-        };
-        if let Some(b) = self.buckets.get(&key) {
-            b.iter().copied().for_each(&mut consider);
-        }
-        for bit in 0..self.planes.len() {
-            if let Some(b) = self.buckets.get(&(key ^ (1 << bit))) {
-                b.iter().copied().for_each(&mut consider);
-            }
-        }
-        best.map(|(similarity, _, slot)| SearchHit {
+        let mut best = Best::default();
+        self.score_probes(query, |sim, seq, slot| best.offer(sim, seq, slot));
+        best.0.map(|(similarity, _, slot)| SearchHit {
             similarity,
-            payload: self.entries[slot]
-                .as_ref()
-                .expect("buckets hold live slots")
-                .payload
-                .clone(),
+            payload: self.live(slot).payload.clone(),
         })
     }
 
@@ -861,6 +1015,75 @@ mod tests {
         idx.insert(embed("same text"), "d"); // evicts "a", reuses its slot
         let hits = idx.search(&embed("same text"), 3);
         assert_eq!(hits[0].payload, "c", "{hits:?}"); // older than "d"
+    }
+
+    /// A bucket key as the serial loop computed it: one `.sum()` chain
+    /// per row-major plane.
+    fn serial_key(planes: &[[f32; DIM]], e: &Embedding) -> u64 {
+        let mut key = 0u64;
+        for (b, plane) in planes.iter().enumerate() {
+            let dot: f32 = e.as_slice().iter().zip(plane).map(|(x, y)| x * y).sum();
+            if dot >= 0.0 {
+                key |= 1 << b;
+            }
+        }
+        key
+    }
+
+    fn generated(seed: u64, n: usize) -> Vec<Embedding> {
+        PromptGenerator::new(seed)
+            .generate_batch(n)
+            .iter()
+            .map(|p| embed(&p.text))
+            .chain([embed("")])
+            .collect()
+    }
+
+    #[test]
+    fn plane_lanes_match_the_serial_projection() {
+        let pool = generated(41, 300);
+        // Plane counts below, at and across block boundaries.
+        for bits in [1, 7, 8, 9, 16, 24] {
+            let idx = LshIndex::<u8>::new(bits, 5);
+            let rows = seeded_planes(bits, 5 ^ LSH_SALT);
+            for e in &pool {
+                assert_eq!(idx.bucket_of(e), serial_key(&rows, e), "bits={bits}");
+                let mut seen = 0;
+                idx.planes.project(e, |b, dot| {
+                    let serial: f32 = e.as_slice().iter().zip(&rows[b]).map(|(x, y)| x * y).sum();
+                    assert_eq!(dot.to_bits(), serial.to_bits(), "bits={bits} plane={b}");
+                    assert_eq!(b, seen);
+                    seen += 1;
+                });
+                assert_eq!(seen, bits);
+            }
+        }
+    }
+
+    #[test]
+    fn lsh_lane_scoring_matches_serial_cosine() {
+        let mut idx = LshIndex::with_capacity_limit(6, 9, 200);
+        let pool = generated(42, 260);
+        let by_payload: Vec<Embedding> = pool.clone();
+        for (i, e) in pool.into_iter().enumerate() {
+            idx.insert(e, i);
+        }
+        for q in generated(43, 40) {
+            let hits = idx.search(&q, idx.len());
+            for hit in &hits {
+                let serial = argus_embed::cosine(&q, &by_payload[hit.payload]);
+                assert_eq!(hit.similarity.to_bits(), serial.to_bits());
+            }
+            // Best first, older first among equals.
+            for pair in hits.windows(2) {
+                assert!(pair[0].similarity >= pair[1].similarity);
+                if pair[0].similarity == pair[1].similarity {
+                    assert!(pair[0].payload < pair[1].payload);
+                }
+            }
+            let nearest = idx.nearest(&q);
+            assert_eq!(nearest.as_ref(), hits.first());
+        }
     }
 
     #[test]

@@ -37,9 +37,9 @@
 
 use std::fmt;
 
-use argus_embed::{Embedding, DIM};
+use argus_embed::Embedding;
 
-use crate::{SearchHit, VectorIndex};
+use crate::{Planes, SearchHit, VectorIndex};
 
 /// Deterministic locality-preserving router from embeddings to shard ids.
 ///
@@ -61,13 +61,19 @@ use crate::{SearchHit, VectorIndex};
 /// the recall and the scan-cost side of this trade.
 #[derive(Debug, Clone)]
 pub struct ShardRouter {
-    planes: Vec<[f32; DIM]>,
+    planes: Planes,
     shards: usize,
 }
 
 /// Extra routing planes beyond `⌈log₂ N⌉`: each one halves the largest
 /// cell's mass at no probe cost (probing flips a constant two planes).
 const EXTRA_ROUTING_PLANES: usize = 3;
+
+/// Seed salt of the routing hyperplanes ("shardrt").
+const ROUTER_SALT: u64 = 0x0073_6861_7264_7274;
+
+/// Most shards one lookup probes.
+const MAX_PROBES: usize = 4;
 
 /// SplitMix64 finalizer used to scatter cell keys over shards.
 fn mix(key: u64) -> u64 {
@@ -90,7 +96,7 @@ impl ShardRouter {
             usize::BITS as usize - (shards - 1).leading_zeros() as usize + EXTRA_ROUTING_PLANES
         };
         ShardRouter {
-            planes: crate::seeded_planes(bits, seed ^ 0x0073_6861_7264_7274), // "shardrt"
+            planes: Planes::seeded(bits, seed ^ ROUTER_SALT),
             shards,
         }
     }
@@ -100,23 +106,24 @@ impl ShardRouter {
         self.shards
     }
 
-    /// The cell key plus the per-plane projections of `e`.
-    fn project(&self, e: &Embedding) -> (u64, Vec<f32>) {
+    /// The cell key of `e` plus its two boundary-nearest planes: the two
+    /// smallest projection magnitudes, the lower plane index first on
+    /// ties. Needs at least two planes.
+    fn project(&self, e: &Embedding) -> (u64, [usize; 2]) {
         let mut key = 0u64;
-        let mut dots = Vec::with_capacity(self.planes.len());
-        for (b, plane) in self.planes.iter().enumerate() {
-            let dot: f32 = e
-                .as_slice()
-                .iter()
-                .zip(plane.iter())
-                .map(|(x, y)| x * y)
-                .sum();
+        let mut near = [(f32::INFINITY, usize::MAX); 2];
+        self.planes.project(e, |b, dot| {
             if dot >= 0.0 {
                 key |= 1 << b;
             }
-            dots.push(dot);
-        }
-        (key, dots)
+            let m = dot.abs();
+            if m < near[0].0 {
+                near = [(m, b), near[0]];
+            } else if m < near[1].0 {
+                near[1] = (m, b);
+            }
+        });
+        (key, [near[0].1, near[1].1])
     }
 
     /// The shard a cell key scatter-hashes to.
@@ -130,8 +137,7 @@ impl ShardRouter {
         if self.shards == 1 {
             return 0;
         }
-        let (key, _) = self.project(e);
-        self.shard_of_key(key)
+        self.shard_of_key(self.planes.key(e))
     }
 
     /// The lookup probe set, primary shard first: the query's cell plus
@@ -139,29 +145,28 @@ impl ShardRouter {
     /// projection magnitude (each alone, then both), deduplicated — at
     /// most four shards, independent of the plane count.
     pub fn probe(&self, e: &Embedding) -> Vec<usize> {
+        let (probes, n) = self.probe_set(e);
+        probes[..n].to_vec()
+    }
+
+    /// [`ShardRouter::probe`] without the allocation: the first `n`
+    /// entries of the array are the probe set.
+    fn probe_set(&self, e: &Embedding) -> ([usize; MAX_PROBES], usize) {
+        let mut probes = [0; MAX_PROBES];
         if self.shards == 1 {
-            return vec![0];
+            return (probes, 1);
         }
-        let (key, dots) = self.project(e);
-        // The two most boundary-adjacent planes (deterministic index
-        // tie-break).
-        let mut order: Vec<usize> = (0..dots.len()).collect();
-        order.sort_by(|&a, &b| {
-            dots[a]
-                .abs()
-                .partial_cmp(&dots[b].abs())
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(&b))
-        });
-        let (b0, b1) = (1u64 << order[0], 1u64 << order[1]);
-        let mut probes = Vec::with_capacity(4);
+        let (key, [p0, p1]) = self.project(e);
+        let (b0, b1) = (1u64 << p0, 1u64 << p1);
+        let mut n = 0;
         for k in [key, key ^ b0, key ^ b1, key ^ b0 ^ b1] {
             let s = self.shard_of_key(k);
-            if !probes.contains(&s) {
-                probes.push(s);
+            if !probes[..n].contains(&s) {
+                probes[n] = s;
+                n += 1;
             }
         }
-        probes
+        (probes, n)
     }
 }
 
@@ -447,11 +452,18 @@ impl<P, I: VectorIndex<P>> ShardedIndex<P, I> {
     /// path, by contrast, does ring-walk: new entries must land
     /// somewhere durable).
     pub fn lookup_shards(&self, query: &Embedding) -> Vec<usize> {
-        self.router
-            .probe(query)
-            .into_iter()
-            .filter(|&s| self.live_replicas(s) > 0)
-            .collect()
+        self.lookup_replicas(query).map(|(s, _)| s).collect()
+    }
+
+    /// `(shard, serving replica)` for each of
+    /// [`ShardedIndex::lookup_shards`], in probe order, without
+    /// allocating.
+    fn lookup_replicas(&self, query: &Embedding) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let (probes, n) = self.router.probe_set(query);
+        (0..n).filter_map(move |i| {
+            let s = probes[i];
+            self.serving_replica(s).map(|j| (s, j))
+        })
     }
 
     /// Up-to-`k` nearest entries across the probed shards' serving
@@ -475,8 +487,7 @@ impl<P, I: VectorIndex<P>> ShardedIndex<P, I> {
         P: Clone,
     {
         let mut merged: Vec<(SearchHit<P>, usize)> = Vec::new();
-        for s in self.lookup_shards(query) {
-            let j = self.serving_replica(s).expect("lookup shards are live");
+        for (s, j) in self.lookup_replicas(query) {
             merged.extend(
                 self.shards[s][j]
                     .index
@@ -500,15 +511,29 @@ impl<P, I: VectorIndex<P>> ShardedIndex<P, I> {
     where
         P: Clone,
     {
-        self.search(query, 1).into_iter().next()
+        self.nearest_with_shard(query).map(|(hit, _)| hit)
     }
 
-    /// The single best match, tagged with the shard that served it.
+    /// The single best match, tagged with the shard that served it: what
+    /// `search_with_shards(query, 1)` returns, as a running best over each
+    /// probed shard's own `nearest`. The strict `>` keeps the earlier
+    /// probe on a similarity tie, as the merge's stable sort does.
     pub fn nearest_with_shard(&self, query: &Embedding) -> Option<(SearchHit<P>, usize)>
     where
         P: Clone,
     {
-        self.search_with_shards(query, 1).into_iter().next()
+        let mut best: Option<(SearchHit<P>, usize)> = None;
+        for (s, j) in self.lookup_replicas(query) {
+            if let Some(hit) = self.shards[s][j].index.nearest(query) {
+                if best
+                    .as_ref()
+                    .is_none_or(|(b, _)| hit.similarity > b.similarity)
+                {
+                    best = Some((hit, s));
+                }
+            }
+        }
+        best
     }
 
     /// Marks a replica's host as failed: its copy of the shard is lost
@@ -861,6 +886,104 @@ mod tests {
         // 300 inserts over 8×64 slots: skewed shards evict FIFO.
         assert!(idx.len() <= 300);
         assert!(idx.nearest(&embed("a bear in a snowy forest")).is_some());
+    }
+
+    /// The router's projection as the serial loop computed it: a `Vec`
+    /// of per-plane `.sum()` chains, sorted by magnitude then index.
+    fn serial_projection(shards: usize, seed: u64, e: &Embedding) -> (u64, [usize; 2]) {
+        let bits = ShardRouter::new(shards, seed).planes.len();
+        let planes = crate::seeded_planes(bits, seed ^ ROUTER_SALT);
+        let mut key = 0u64;
+        let mut dots = Vec::new();
+        for (b, plane) in planes.iter().enumerate() {
+            let dot: f32 = e.as_slice().iter().zip(plane).map(|(x, y)| x * y).sum();
+            if dot >= 0.0 {
+                key |= 1 << b;
+            }
+            dots.push(dot);
+        }
+        let mut order: Vec<usize> = (0..dots.len()).collect();
+        order.sort_by(|&a, &b| {
+            dots[a]
+                .abs()
+                .partial_cmp(&dots[b].abs())
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then(a.cmp(&b))
+        });
+        (key, [order[0], order[1]])
+    }
+
+    #[test]
+    fn router_projection_matches_the_serial_reference() {
+        let pool: Vec<Embedding> = PromptGenerator::new(12)
+            .generate_batch(300)
+            .iter()
+            .map(|p| embed(&p.text))
+            .chain([embed("")])
+            .collect();
+        // 2..=4096 shards: 4 to 15 planes, within and across one block.
+        for shards in [2, 5, 16, 32, 600, 4096] {
+            let router = ShardRouter::new(shards, 3);
+            for e in &pool {
+                assert_eq!(
+                    router.project(e),
+                    serial_projection(shards, 3, e),
+                    "N={shards}"
+                );
+            }
+        }
+    }
+
+    /// `nearest_with_shard` and `nearest` against the first hit of the
+    /// merged `search_with_shards(q, 1)`, bit for bit.
+    fn assert_nearest_matches_search<I: VectorIndex<usize>>(
+        idx: &ShardedIndex<usize, I>,
+        queries: &[Embedding],
+    ) {
+        for q in queries {
+            let want = idx.search_with_shards(q, 1).into_iter().next();
+            let got = idx.nearest_with_shard(q);
+            assert_eq!(
+                got.as_ref()
+                    .map(|(h, s)| (h.similarity.to_bits(), h.payload, *s)),
+                want.as_ref()
+                    .map(|(h, s)| (h.similarity.to_bits(), h.payload, *s))
+            );
+            assert_eq!(idx.nearest(q), want.map(|(h, _)| h));
+        }
+    }
+
+    #[test]
+    fn sharded_nearest_matches_the_merged_search() {
+        let prompts = PromptGenerator::new(13).generate_batch(400);
+        // The zero query scores 0 against every entry: a tie across all
+        // probed shards, which the earlier probe must win.
+        let queries: Vec<Embedding> = PromptGenerator::new(14)
+            .generate_batch(60)
+            .iter()
+            .chain(&prompts[..20])
+            .map(|p| embed(&p.text))
+            .chain([embed("")])
+            .collect();
+        let mut lsh = lsh_plane(6, 2);
+        let mut flat: ShardedIndex<usize, FlatIndex<usize>> =
+            ShardedIndex::new(6, 2, 7, |_, _| FlatIndex::with_capacity_limit(48));
+        for (i, p) in prompts.iter().enumerate() {
+            // Every prompt twice: equal similarities on every shard.
+            lsh.insert(embed(&p.text), i);
+            lsh.insert(embed(&p.text), i + 1000);
+            flat.insert(embed(&p.text), i);
+            flat.insert(embed(&p.text), i + 1000);
+        }
+        assert_nearest_matches_search(&lsh, &queries);
+        assert_nearest_matches_search(&flat, &queries);
+        // Degraded planes: a shard with one replica left, one fully dark.
+        for (s, j) in [(1, 0), (3, 0), (3, 1)] {
+            lsh.fail_replica(s, j);
+            flat.fail_replica(s, j);
+        }
+        assert_nearest_matches_search(&lsh, &queries);
+        assert_nearest_matches_search(&flat, &queries);
     }
 
     #[test]
